@@ -43,13 +43,13 @@
 //! the in-process simulator on every field except wall-clock timings.
 
 use crate::algorithm::Algorithm;
-use crate::comm::{read_f32_le, write_f32_le};
 use crate::compress::SEED_COMPRESS_BASE;
 use crate::engine::FlConfig;
 use crate::fault::{FailureKind, FaultAction, PartyFailure};
 use crate::local::{local_train, LocalOutcome, ScaffoldCtx};
 use crate::party::PartyProvider;
 use crate::trace::{TraceEvent, TraceSink};
+use crate::wire::{put_bytes, put_count, put_f32s, put_f64, put_str, put_u64, DecodeError, Reader};
 use niid_json::{FromJson, Json, JsonError, ToJson};
 use niid_metrics::Deadline;
 use niid_nn::{ModelSpec, Network};
@@ -355,108 +355,11 @@ fn send_with_retry(
     }
 }
 
-// ── Payload encodings ────────────────────────────────────────────────
+// ── Payload encodings (see wire.rs) ─────────────────────────────────
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_f32s(buf: &mut Vec<u8>, xs: &[f32]) {
-    put_u32(buf, xs.len() as u32);
-    write_f32_le(buf, xs);
-}
-
-fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
-    put_u32(buf, b.len() as u32);
-    buf.extend_from_slice(b);
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_bytes(buf, s.as_bytes());
-}
-
-/// Bounds-checked cursor over a frame payload. Every overrun — including
-/// `u32::MAX`-ish vector counts whose byte size would overflow — is a
-/// typed [`NetError::Malformed`], and `finish` rejects trailing garbage.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], NetError> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| {
-                NetError::Malformed(format!(
-                    "truncated {what}: need {n} bytes at offset {} of {}",
-                    self.pos,
-                    self.buf.len()
-                ))
-            })?;
-        let out = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(out)
-    }
-
-    fn u8(&mut self, what: &str) -> Result<u8, NetError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn u32(&mut self, what: &str) -> Result<u32, NetError> {
-        let b = self.take(4, what)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self, what: &str) -> Result<u64, NetError> {
-        let b = self.take(8, what)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8-byte slice")))
-    }
-
-    fn f64(&mut self, what: &str) -> Result<f64, NetError> {
-        Ok(f64::from_bits(self.u64(what)?))
-    }
-
-    fn f32_vec(&mut self, what: &str) -> Result<Vec<f32>, NetError> {
-        let n = self.u32(what)? as usize;
-        let bytes = n
-            .checked_mul(4)
-            .ok_or_else(|| NetError::Malformed(format!("{what} count {n} overflows")))?;
-        Ok(read_f32_le(self.take(bytes, what)?))
-    }
-
-    fn bytes_vec(&mut self, what: &str) -> Result<Vec<u8>, NetError> {
-        let n = self.u32(what)? as usize;
-        Ok(self.take(n, what)?.to_vec())
-    }
-
-    fn string(&mut self, what: &str) -> Result<String, NetError> {
-        let b = self.bytes_vec(what)?;
-        String::from_utf8(b).map_err(|_| NetError::Malformed(format!("{what} is not UTF-8")))
-    }
-
-    fn finish(self, what: &str) -> Result<(), NetError> {
-        if self.pos != self.buf.len() {
-            return Err(NetError::Malformed(format!(
-                "{} trailing bytes after {what}",
-                self.buf.len() - self.pos
-            )));
-        }
-        Ok(())
+impl From<DecodeError> for NetError {
+    fn from(e: DecodeError) -> Self {
+        NetError::Malformed(e.0)
     }
 }
 
@@ -612,7 +515,7 @@ impl AssignMsg {
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         put_u64(&mut buf, self.round);
-        put_u32(&mut buf, self.parties.len() as u32);
+        put_count(&mut buf, self.parties.len());
         for p in &self.parties {
             put_u64(&mut buf, p.party_id);
             put_f32s(&mut buf, &p.client_c);
@@ -837,9 +740,11 @@ pub struct NetConfig {
     pub handshake_timeout: Duration,
     /// How long the coordinator waits for the full party roster.
     pub accept_timeout: Duration,
-    /// Per-host deadline for a round's updates. Must exceed the longest
-    /// local training plus any [`FaultPlan`](crate::fault::FaultPlan)
-    /// delay, which party clients honor as real wall-clock sleeps.
+    /// Deadline for a round's updates, shared by every host: stalled
+    /// hosts cost one `round_timeout` together, not one each. Must
+    /// exceed the longest local training plus any
+    /// [`FaultPlan`](crate::fault::FaultPlan) delay, which party clients
+    /// honor as real wall-clock sleeps.
     pub round_timeout: Duration,
     /// Bounded retries for transient I/O errors.
     pub io_retries: u32,
@@ -859,6 +764,11 @@ impl Default for NetConfig {
         }
     }
 }
+
+/// How long a host still gets to deliver its updates once the shared
+/// round deadline has (nearly) passed: enough to drain frames already
+/// buffered in its socket, far too short to wait for training.
+const DRAIN_GRACE: Duration = Duration::from_millis(20);
 
 /// A survivor's update exactly as it crossed the wire: the codec payload
 /// plus the party-side-refreshed feedback state the server re-adopts
@@ -1152,12 +1062,21 @@ impl Coordinator {
             }
         }
 
+        // One deadline for the whole round, so H stalled hosts cost one
+        // `round_timeout`, not H of them. A host reached with less than
+        // `DRAIN_GRACE` left still gets that long, so updates already
+        // sitting in its socket count instead of failing with the
+        // stragglers ahead of it.
+        let round_deadline = Deadline::after(self.net.round_timeout);
         for (h, pids) in &plans {
             if dead.contains(h) {
                 continue;
             }
             let mut pending: BTreeSet<usize> = pids.iter().copied().collect();
-            let deadline = Deadline::after(self.net.round_timeout);
+            let deadline = match round_deadline.remaining() {
+                Some(left) if left >= DRAIN_GRACE => round_deadline,
+                _ => Deadline::after(DRAIN_GRACE),
+            };
             let max_frame = self.net.max_frame;
             while !pending.is_empty() {
                 let host = &mut self.hosts[*h];
@@ -1597,6 +1516,7 @@ pub fn run_party_client(cfg: &PartyClientConfig, host: &PartyHost) -> Result<(),
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::put_u32;
 
     fn frame_bytes(kind: MsgKind, payload: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
@@ -1732,6 +1652,107 @@ mod tests {
         let err = read_frame_deadline(&mut conn, 1024, &deadline).unwrap_err();
         assert!(matches!(err, NetError::Timeout(_)), "{err:?}");
         assert!(started.elapsed() < Duration::from_secs(5));
+    }
+
+    /// Connect (in call order) as the host of `party_id`, then either
+    /// answer every assignment with a trained update or stall: read
+    /// frames without ever replying, until the coordinator hangs up.
+    fn scripted_host(
+        addr: SocketAddr,
+        fingerprint: &str,
+        party_id: usize,
+        responsive: bool,
+    ) -> std::thread::JoinHandle<()> {
+        let mut s = TcpStream::connect(addr).unwrap();
+        let hello = HelloMsg {
+            fingerprint: fingerprint.to_string(),
+            party_ids: vec![party_id],
+        };
+        std::thread::spawn(move || {
+            write_frame(&mut s, MsgKind::Hello, &hello.encode()).unwrap();
+            while let Ok(frame) = read_frame_blocking(&mut s, DEFAULT_MAX_FRAME) {
+                if !responsive || frame.kind != MsgKind::RoundAssign {
+                    continue;
+                }
+                let assign = AssignMsg::decode(&frame.payload).unwrap();
+                for p in assign.parties {
+                    let upd = UpdateMsg {
+                        round: assign.round,
+                        party_id: p.party_id,
+                        body: UpdateBody::Trained {
+                            payload: vec![1, 2, 3],
+                            residual: vec![],
+                            client_c: vec![],
+                            buffers: vec![],
+                            delta_c: vec![],
+                            tau: 1,
+                            n_samples: 10,
+                            avg_loss: 0.5,
+                            wall_ms: 1.0,
+                        },
+                    };
+                    write_frame(&mut s, MsgKind::Update, &upd.encode()).unwrap();
+                }
+            }
+        })
+    }
+
+    /// Two stalled hosts must cost one `round_timeout` together, not one
+    /// each, and a responsive host collected after them still counts.
+    #[test]
+    fn stalled_hosts_share_one_round_deadline() {
+        let round_timeout = Duration::from_millis(800);
+        let net = NetConfig {
+            round_timeout,
+            ..NetConfig::default()
+        };
+        let fp = "stall-test";
+        let mut coord = Coordinator::bind("127.0.0.1:0", 3, fp.into(), net).unwrap();
+        let addr = coord.local_addr().unwrap();
+        // Accept order is connect order: both stallers are collected
+        // before the responsive host.
+        let hosts = [
+            scripted_host(addr, fp, 0, false),
+            scripted_host(addr, fp, 1, false),
+            scripted_host(addr, fp, 2, true),
+        ];
+        coord.wait_for_roster().unwrap();
+
+        let started = std::time::Instant::now();
+        let outcomes = coord.train_round(
+            0,
+            &[0, 1, 2],
+            &[0.5; 4],
+            &[],
+            &[],
+            &BTreeMap::new(),
+            &BTreeMap::new(),
+            &crate::trace::NoopSink,
+        );
+        let took = started.elapsed();
+        assert!(took >= round_timeout, "round resolved early: {took:?}");
+        assert!(
+            took < round_timeout * 3 / 2,
+            "two stalled hosts took {took:?} against a {round_timeout:?} round deadline"
+        );
+        for (pid, outcome) in outcomes.iter().enumerate().take(2) {
+            match outcome {
+                RemoteOutcome::Failed(f) => {
+                    assert_eq!(f.party_id, pid);
+                    assert!(f.message.contains("unavailable"), "{}", f.message);
+                }
+                other => panic!("stalled party {pid} gave {other:?}"),
+            }
+        }
+        assert!(
+            matches!(outcomes[2], RemoteOutcome::Trained { .. }),
+            "{:?}",
+            outcomes[2]
+        );
+        coord.shutdown_all();
+        for h in hosts {
+            h.join().unwrap();
+        }
     }
 
     #[test]
